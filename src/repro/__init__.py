@@ -38,6 +38,9 @@ The package is organised as:
     The batch execution subsystem: declarative jobs, a content-addressed
     profile cache, a process-pool executor, and per-run JSON manifests.
 
+The package re-exports nothing, so ``import repro.cli`` stays cheap;
+import the subpackage or module you need.
+
 Quickstart::
 
     from repro.datasets import pantheon
@@ -49,33 +52,4 @@ Quickstart::
     print(predicted.summary())
 """
 
-from repro import (
-    analysis,
-    baselines,
-    core,
-    datasets,
-    discovery,
-    experiments,
-    ml,
-    protocols,
-    runtime,
-    simulation,
-    trace,
-)
-
 __version__ = "1.1.0"
-
-__all__ = [
-    "__version__",
-    "analysis",
-    "baselines",
-    "core",
-    "datasets",
-    "discovery",
-    "experiments",
-    "ml",
-    "protocols",
-    "runtime",
-    "simulation",
-    "trace",
-]

@@ -16,11 +16,16 @@ from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 
 def ks_statistic(a: Sequence[float], b: Sequence[float]) -> Tuple[float, float]:
-    """Two-sample Kolmogorov–Smirnov test; returns (statistic, p-value)."""
+    """Two-sample Kolmogorov–Smirnov test; returns (statistic, p-value).
+
+    ``scipy.stats`` is imported here rather than at module level: it is
+    the package's only scipy user and costs over a second to import.
+    """
+    from scipy import stats as scipy_stats
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     a = a[~np.isnan(a)]

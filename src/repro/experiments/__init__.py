@@ -5,7 +5,10 @@ fitting, simulation and metric computation — and returns a typed result
 object with a ``format_report()`` method rendering the same rows/series the
 paper reports.  The benchmark suite and EXPERIMENTS.md are generated from
 these entry points; the ``scale`` knob trades runtime for statistical
-resolution without changing the experimental design.
+resolution without changing the experimental design.  Import each
+module directly (``from repro.experiments import fig2_ensemble``); the
+package re-exports nothing, so the CLI can read the experiment names
+from :mod:`repro.experiments.common` without loading every figure.
 
 | Module              | Paper result | What it shows |
 |---------------------|--------------|---------------|
@@ -18,27 +21,3 @@ resolution without changing the experimental design.
 | ``table1_rtc``      | Table 1      | CT input improves iBoxML on RTC |
 | ``speed``           | §4.2         | per-packet inference cost comparison |
 """
-
-from repro.experiments import (
-    fig2_ensemble,
-    fig3_ablations,
-    fig4_instance,
-    fig5_reordering,
-    fig7_control_loop,
-    fig8_discovery,
-    speed,
-    table1_rtc,
-)
-from repro.experiments.common import Scale
-
-__all__ = [
-    "Scale",
-    "fig2_ensemble",
-    "fig3_ablations",
-    "fig4_instance",
-    "fig5_reordering",
-    "fig7_control_loop",
-    "fig8_discovery",
-    "speed",
-    "table1_rtc",
-]

@@ -16,9 +16,13 @@ Every guard emits ``repro.obs`` signals (``guard.repairs``,
 ``cache.quarantined``, ``chaos.injected``) so a run that survived a
 fault is never silently indistinguishable from a clean one.
 
-Typical use::
+The package re-exports nothing: importing it must stay cheap, because
+:mod:`repro.core.iboxml` imports :mod:`repro.guard.numeric`, and
+:mod:`repro.guard.chaos` pulls in the whole serve stack.  Import from
+the submodules::
 
-    from repro.guard import repair_trace, run_campaign
+    from repro.guard.chaos import run_campaign
+    from repro.guard.repair import repair_trace
 
     report = repair_trace(messy_trace)
     print(report.actions)          # {"drop_duplicate_uid": 3, ...}
@@ -26,59 +30,3 @@ Typical use::
     campaign = run_campaign("/tmp/chaos", seed=7, policy="repair")
     assert campaign.ok, campaign.format_report()
 """
-
-from repro.guard.chaos import (
-    FILE_FAULTS,
-    TRACE_FAULTS,
-    ChaosReport,
-    FleetChaosReport,
-    ServiceChaosReport,
-    TransportChaosReport,
-    chaos_worker,
-    inject_file_fault,
-    inject_trace_fault,
-    make_chaos_job,
-    run_campaign,
-    run_fleet_campaign,
-    run_service_campaign,
-    run_transport_campaign,
-    tear_cache_entry,
-)
-from repro.guard.netchaos import NetChaosConfig, NetChaosProxy
-from repro.guard.numeric import DivergenceGuard, sanitize_training_arrays
-from repro.guard.repair import (
-    MAX_PLAUSIBLE_DELAY,
-    REPAIR_POLICIES,
-    RepairReport,
-    check_policy,
-    repair_trace,
-    sanitize_trace,
-)
-
-__all__ = [
-    "FILE_FAULTS",
-    "TRACE_FAULTS",
-    "ChaosReport",
-    "FleetChaosReport",
-    "NetChaosConfig",
-    "NetChaosProxy",
-    "ServiceChaosReport",
-    "TransportChaosReport",
-    "chaos_worker",
-    "inject_file_fault",
-    "inject_trace_fault",
-    "make_chaos_job",
-    "run_campaign",
-    "run_fleet_campaign",
-    "run_service_campaign",
-    "run_transport_campaign",
-    "tear_cache_entry",
-    "DivergenceGuard",
-    "sanitize_training_arrays",
-    "MAX_PLAUSIBLE_DELAY",
-    "REPAIR_POLICIES",
-    "RepairReport",
-    "check_policy",
-    "repair_trace",
-    "sanitize_trace",
-]

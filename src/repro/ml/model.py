@@ -101,8 +101,9 @@ class GaussianSequenceModel(Module):
         from the loss.  Variable lengths are padded per batch; padding is
         always masked out.
 
-        Training is watched by a :class:`repro.guard.DivergenceGuard`:
-        updates with non-finite loss or pre-clip gradient norm beyond
+        Training is watched by a
+        :class:`repro.guard.numeric.DivergenceGuard`: updates with
+        non-finite loss or pre-clip gradient norm beyond
         ``max_grad_norm`` are skipped, and a run that ends diverged
         rolls the parameters back to the best finite epoch instead of
         returning garbage.

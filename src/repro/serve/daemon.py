@@ -84,7 +84,7 @@ from repro.runtime.manifest import RunManifest, new_run_id
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.journal import JobJournal
 from repro.serve.queue import AdmissionQueue
-from repro.serve.requests import BadRequest, normalize_request
+from repro.serve.requests import BadRequest, normalize_request, preload_workers
 from repro.serve.supervisor import (
     LeaseEvent,
     Supervisor,
@@ -1111,6 +1111,9 @@ class ServeDaemon:
         """Serve until a signal (or idle/max-runtime), then drain; 0 on
         a graceful exit."""
         self._install_signals()
+        # Ready means ready to fork: every worker module is loaded
+        # before the intake is bound or the pid marker is written.
+        preload_workers()
         self._start_socket()
         # The pid file doubles as the *readiness* marker: it appears
         # only once signal handlers are live, so a supervisor (or the

@@ -16,6 +16,7 @@ the circuit breaker (default: the kind).
 
 from __future__ import annotations
 
+import importlib
 from typing import Any, Callable, Dict, Optional
 
 from repro.runtime.jobs import JobSpec, content_hash
@@ -44,6 +45,33 @@ def known_kinds() -> tuple:
     from repro.runtime.batch import WORKER_KINDS
 
     return (*WORKER_KINDS, "chaos")
+
+
+#: What the ``fit``/``simulate``/``sweep``/``chaos`` workers import at
+#: call time, directly or deep inside the library.  ``experiment`` jobs
+#: are left out on purpose: they pull in scipy and run for minutes.
+_WORKER_IMPORTS = (
+    "numpy.ma",  # numpy imports it lazily inside np.percentile
+    "numpy.random",  # likewise, on first np.random.default_rng
+    "repro.core.iboxnet",
+    "repro.guard.repair",  # trace.io imports it when loading a trace
+    "repro.protocols",
+    "repro.sweep",
+    "repro.trace.metrics",
+)
+
+
+def preload_workers() -> None:
+    """Import the whole import closure of every stock job kind.
+
+    The daemon calls this before it reports ready, so the workers it
+    forks inherit every module already loaded instead of each paying
+    for the imports inside its job's latency.
+    """
+    for kind in known_kinds():
+        resolve_worker(kind)
+    for name in _WORKER_IMPORTS:
+        importlib.import_module(name)
 
 
 def normalize_request(

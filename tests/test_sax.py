@@ -31,6 +31,18 @@ class TestBreakpoints:
         with pytest.raises(ValueError):
             gaussian_breakpoints(1)
 
+    def test_matches_scipy_norm_ppf(self):
+        from scipy import stats
+
+        for alphabet_size in range(2, 27):
+            expected = stats.norm.ppf(
+                np.arange(1, alphabet_size) / alphabet_size
+            )
+            np.testing.assert_allclose(
+                gaussian_breakpoints(alphabet_size), expected,
+                rtol=0, atol=1e-12,
+            )
+
 
 class TestPAA:
     def test_divisible_length(self):
